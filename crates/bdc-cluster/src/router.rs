@@ -34,17 +34,16 @@
 //! counters plus every shard's snapshot and a fleet-wide sum, and
 //! `/v1/cluster` with the ring topology.
 
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::io::ErrorKind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bdc_exec::cluster::{artifact_slot, key_slot, Ring};
 use bdc_exec::faults;
 use bdc_serve::api::{self, Route};
-use bdc_serve::client::{self, Connection};
+use bdc_serve::client::{self, ClientResponse, Connection};
+use bdc_serve::conn::{ListenConfig, Listener, Service};
 use bdc_serve::json::{self, Json};
 use bdc_serve::{http, Response};
 
@@ -58,6 +57,9 @@ const PROXY_TIMEOUT: Duration = Duration::from_secs(60);
 /// Short deadline for the fan-out aggregation calls (`/healthz`,
 /// `/v1/metrics`): a down shard must not stall the fleet view.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Idle and per-request read/write deadline on client connections.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
@@ -126,20 +128,92 @@ struct Shared {
     metrics: RouterMetrics,
     /// One breaker per shard, indexed like `cfg.shard_addrs`.
     breakers: Vec<Breaker>,
+    /// Idle keep-alive connections per shard, indexed like
+    /// `cfg.shard_addrs`, most recently used last. Each connection worker
+    /// holds at most one upstream connection at a time, so a shard's pool
+    /// never needs more than `cfg.conn_threads` of them.
+    pools: Vec<Mutex<Vec<Connection>>>,
+}
+
+/// Whether a request failure on a reused connection means the shard
+/// closed it while idle (restart, drain, idle give-back): the request
+/// never ran, so it is resent on a fresh connection. A timeout is not
+/// stale — the shard may be computing.
+fn stale(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::UnexpectedEof
+            | ErrorKind::ConnectionReset
+            | ErrorKind::ConnectionAborted
+            | ErrorKind::BrokenPipe
+    )
+}
+
+impl Shared {
+    /// Sends one request to `shard` over a pooled keep-alive connection,
+    /// or a fresh one when the pool is empty. A reused connection that
+    /// fails before any response byte is retried once on a fresh
+    /// connection to the same shard — not a failover, and invisible to
+    /// the breaker, which sees only the final outcome.
+    fn call(
+        &self,
+        shard: usize,
+        timeout: Duration,
+        send: impl Fn(&mut Connection) -> std::io::Result<ClientResponse>,
+    ) -> std::io::Result<ClientResponse> {
+        let pool = &self.pools[shard];
+        let pooled = pool.lock().unwrap_or_else(|p| p.into_inner()).pop();
+        if let Some(mut conn) = pooled {
+            let result = conn.set_timeout(timeout).and_then(|()| send(&mut conn));
+            match result {
+                Ok(r) => return Ok(self.recycle(shard, conn, r)),
+                Err(e) if conn.response_started() || !stale(&e) => return Err(e),
+                // One idle connection went stale, so the shard probably
+                // restarted: its other idle connections are stale too.
+                Err(_) => pool.lock().unwrap_or_else(|p| p.into_inner()).clear(),
+            }
+        }
+        let mut conn = Connection::open_with_timeout(&self.cfg.shard_addrs[shard], timeout)?;
+        let r = send(&mut conn)?;
+        Ok(self.recycle(shard, conn, r))
+    }
+
+    /// Returns a connection to its shard's pool unless the shard asked to
+    /// close it or the pool is full.
+    fn recycle(&self, shard: usize, conn: Connection, r: ClientResponse) -> ClientResponse {
+        if r.header("connection") != Some("close") {
+            let mut pool = self.pools[shard].lock().unwrap_or_else(|p| p.into_inner());
+            if pool.len() < self.cfg.conn_threads.max(1) {
+                pool.push(conn);
+            }
+        }
+        r
+    }
+}
+
+/// The router as a connection-layer [`Service`].
+struct Proxy(Arc<Shared>);
+
+impl Service for Proxy {
+    fn respond(&self, request: &http::Request, _arrived: Instant) -> Response {
+        handle(request, &self.0)
+    }
+
+    fn shed(&self) {
+        self.0.metrics.shed.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A running router.
 pub struct RouterHandle {
-    port: u16,
+    listener: Listener,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl RouterHandle {
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.listener.port()
     }
 
     /// The router's proxy counters.
@@ -147,12 +221,21 @@ impl RouterHandle {
         &self.shared.metrics
     }
 
+    /// Idle keep-alive connections the router holds to `shard`.
+    pub fn idle_upstream(&self, shard: usize) -> usize {
+        self.shared.pools[shard]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .len()
+    }
+
     /// Graceful shutdown: stop accepting, finish in-flight requests, join
-    /// every thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    /// every thread, then close the idle upstream connections so the
+    /// shards drain without waiting on them.
+    pub fn shutdown(self) {
+        self.listener.join();
+        for pool in &self.shared.pools {
+            pool.lock().unwrap_or_else(|p| p.into_inner()).clear();
         }
     }
 }
@@ -168,125 +251,26 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
             "router needs at least one shard address",
         ));
     }
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let port = listener.local_addr()?.port();
-    listener.set_nonblocking(true)?;
-
-    let ring = Ring::new(cfg.shard_addrs.len(), cfg.vnodes, cfg.ring_seed);
-    let breakers = (0..cfg.shard_addrs.len())
-        .map(|_| Breaker::new(cfg.breaker.clone()))
-        .collect();
-    let shared = Arc::new(Shared {
-        cfg,
-        ring,
-        metrics: RouterMetrics::default(),
-        breakers,
-    });
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
-
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(shared.cfg.conn_backlog);
-    let rx = Arc::new(Mutex::new(rx));
-    for i in 0..shared.cfg.conn_threads.max(1) {
-        let rx = Arc::clone(&rx);
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("bdc-router-conn-{i}"))
-                .spawn(move || conn_worker(&rx, &shared, &stop))?,
-        );
-    }
-    {
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name("bdc-router-accept".into())
-                .spawn(move || acceptor(&listener, &tx, &shared, &stop))?,
-        );
-    }
-
-    Ok(RouterHandle {
-        port,
-        shared,
-        stop,
-        threads,
-    })
-}
-
-fn acceptor(
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    shared: &Shared,
-    stop: &AtomicBool,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut stream)) => {
-                    shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    let mut resp = Response::error(429, "router saturated; retry");
-                    resp.extra_headers.push(("retry-after".into(), "1".into()));
-                    let _ = resp.write_to(&mut stream, false);
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn conn_worker(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared, stop: &AtomicBool) {
-    loop {
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-            guard.recv_timeout(Duration::from_millis(100))
-        };
-        match stream {
-            Ok(stream) => serve_connection(stream, shared, stop),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let listen = ListenConfig {
+        addr: cfg.addr.clone(),
+        name: "bdc-router",
+        threads: cfg.conn_threads,
+        backlog: cfg.conn_backlog,
+        read_timeout: CLIENT_TIMEOUT,
+        write_timeout: CLIENT_TIMEOUT,
     };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(r) => r,
-            Err(e) => {
-                let status = e.status();
-                if status != 0 {
-                    let _ = Response::error(status, &format!("{e:?}")).write_to(&mut writer, false);
-                }
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-        let response = handle(&request, shared);
-        if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-            return;
-        }
-    }
+    let shards = cfg.shard_addrs.len();
+    let shared = Arc::new(Shared {
+        ring: Ring::new(shards, cfg.vnodes, cfg.ring_seed),
+        metrics: RouterMetrics::default(),
+        breakers: (0..shards)
+            .map(|_| Breaker::new(cfg.breaker.clone()))
+            .collect(),
+        pools: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+        cfg,
+    });
+    let listener = Listener::start(listen, Arc::new(Proxy(Arc::clone(&shared))))?;
+    Ok(RouterHandle { listener, shared })
 }
 
 /// Routes one request: answered locally (health, metrics, topology,
@@ -399,7 +383,6 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
                 .breaker_probes
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let addr = &shared.cfg.shard_addrs[shard];
         // An injected partition severs this attempt before any bytes move
         // — the seeded roll heals across attempts, so failover recovers.
         let partitioned = faults::inject_partition(&path_query, attempt as u64);
@@ -415,13 +398,8 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
                 Some(ms) => PROXY_TIMEOUT.min(Duration::from_millis(ms)),
                 None => PROXY_TIMEOUT,
             };
-            Connection::open_with_timeout(addr, timeout).and_then(|mut c| {
-                match (request.method, remaining_ms) {
-                    (http::Method::Get, None) => c.get(&path_query),
-                    (http::Method::Get, Some(ms)) => c.get_with_deadline(&path_query, ms),
-                    (http::Method::Post, None) => c.post(&path_query, body),
-                    (http::Method::Post, Some(ms)) => c.post_with_deadline(&path_query, body, ms),
-                }
+            shared.call(shard, timeout, |c| {
+                c.request(request.method, &path_query, body, remaining_ms)
             })
         };
         let failed = match &result {
@@ -439,7 +417,15 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
         }
         match result {
             Ok(r) if !failed => {
+                // The shard's own `x-bdc-*` annotations (e.g. a brownout's
+                // `x-bdc-degraded`) pass through; the shard id is the
+                // router's to set.
                 let mut resp = Response::json(r.status, r.body);
+                resp.extra_headers = r
+                    .headers
+                    .into_iter()
+                    .filter(|(name, _)| name.starts_with("x-bdc-") && name != "x-bdc-shard")
+                    .collect();
                 resp.extra_headers
                     .push(("x-bdc-shard".into(), shard.to_string()));
                 return resp;
@@ -457,10 +443,8 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
 }
 
 /// One aggregation probe: `GET path` on a shard with a short deadline.
-fn probe(addr: &str, path: &str) -> Option<client::ClientResponse> {
-    Connection::open_with_timeout(addr, PROBE_TIMEOUT)
-        .and_then(|mut c| c.get(path))
-        .ok()
+fn probe(shared: &Shared, shard: usize, path: &str) -> Option<client::ClientResponse> {
+    shared.call(shard, PROBE_TIMEOUT, |c| c.get(path)).ok()
 }
 
 /// The fleet `/healthz`: per-shard `ok|degraded|draining|down` plus an
@@ -468,8 +452,8 @@ fn probe(addr: &str, path: &str) -> Option<client::ClientResponse> {
 /// shard answers, `degraded` otherwise.
 fn healthz(shared: &Shared) -> Response {
     let mut states = Vec::with_capacity(shared.cfg.shard_addrs.len());
-    for addr in &shared.cfg.shard_addrs {
-        let state = match probe(addr, "/healthz") {
+    for shard in 0..shared.cfg.shard_addrs.len() {
+        let state = match probe(shared, shard, "/healthz") {
             Some(r) => json::parse(&String::from_utf8_lossy(&r.body))
                 .ok()
                 .and_then(|j| j.get("status").and_then(|s| s.as_str().map(String::from)))
@@ -528,8 +512,8 @@ fn metrics(shared: &Shared) -> Response {
     let m = &shared.metrics;
     let load = |a: &AtomicU64| Json::Int(a.load(Ordering::Relaxed) as i64);
     let mut shard_snaps = Vec::with_capacity(shared.cfg.shard_addrs.len());
-    for addr in &shared.cfg.shard_addrs {
-        let snap = probe(addr, "/v1/metrics")
+    for shard in 0..shared.cfg.shard_addrs.len() {
+        let snap = probe(shared, shard, "/v1/metrics")
             .and_then(|r| json::parse(&String::from_utf8_lossy(&r.body)).ok());
         shard_snaps.push(snap);
     }

@@ -30,6 +30,8 @@
 //! transport — floats are rendered with shortest round-trip formatting
 //! from bit-identical flow outputs (`tests/determinism.rs` pins this).
 
+use std::sync::OnceLock;
+
 use bdc_core::registry::{self, query::Query};
 use bdc_core::{CoreSpec, Process, StageKind, TechKit};
 use bdc_uarch::Workload;
@@ -120,13 +122,18 @@ impl ApiCall {
     /// cached response that could embody library-derived bytes.
     pub fn cache_key(&self) -> u64 {
         use bdc_core::{library_stage_key, ParamOverlay, Process};
-        let nominal = ParamOverlay::default();
-        let libs = format!(
-            "libs={:016x},{:016x}",
-            library_stage_key(Process::Organic, &nominal),
-            library_stage_key(Process::Silicon, &nominal)
-        );
-        bdc_exec::fnv1a(&["bdc-serve-v2", &libs, &format!("{self:?}")])
+        // The salt hashes compiled-in recipes only, and hashing them costs
+        // more than a warm answer, so it is computed once per process.
+        static LIBS: OnceLock<String> = OnceLock::new();
+        let libs = LIBS.get_or_init(|| {
+            let nominal = ParamOverlay::default();
+            format!(
+                "libs={:016x},{:016x}",
+                library_stage_key(Process::Organic, &nominal),
+                library_stage_key(Process::Silicon, &nominal)
+            )
+        });
+        bdc_exec::fnv1a(&["bdc-serve-v2", libs, &format!("{self:?}")])
     }
 }
 

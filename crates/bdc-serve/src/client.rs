@@ -7,6 +7,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::http::Method;
+
 /// A response as the client sees it.
 #[derive(Debug, Clone)]
 pub struct ClientResponse {
@@ -32,6 +34,10 @@ impl ClientResponse {
 pub struct Connection {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The socket's current read/write deadline.
+    timeout: Duration,
+    /// Whether the last request saw any byte of its response.
+    response_started: bool,
 }
 
 impl Connection {
@@ -65,7 +71,64 @@ impl Connection {
         Ok(Connection {
             reader: BufReader::new(stream),
             writer,
+            timeout,
+            response_started: false,
         })
+    }
+
+    /// Sets the read/write deadline for the next requests, so a pooled
+    /// connection can serve callers with different budgets.
+    ///
+    /// # Errors
+    /// Propagates socket-option failures.
+    pub fn set_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        if timeout != self.timeout {
+            self.writer.set_read_timeout(Some(timeout))?;
+            self.writer.set_write_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
+
+    /// Whether the last request received any byte of its response. A
+    /// reused keep-alive connection that hit EOF or a reset before its
+    /// first response byte was closed by the server while idle, so the
+    /// request never ran and is safe to resend on a fresh connection.
+    pub fn response_started(&self) -> bool {
+        self.response_started
+    }
+
+    /// Issues `method path_query`, with `body` for a `POST`. An
+    /// `x-bdc-deadline-ms` budget is the entry point of deadline
+    /// propagation: the server (or router) subtracts its own elapsed time
+    /// before passing the remainder downstream, and refuses outright (fast
+    /// 503) when the remainder cannot cover the work.
+    ///
+    /// # Errors
+    /// Propagates socket errors (including the server closing mid-reply).
+    pub fn request(
+        &mut self,
+        method: Method,
+        path_query: &str,
+        body: &str,
+        deadline_ms: Option<u64>,
+    ) -> std::io::Result<ClientResponse> {
+        let mut req = match method {
+            Method::Get => format!("GET {path_query} HTTP/1.1\r\nhost: bdc\r\n"),
+            Method::Post => format!("POST {path_query} HTTP/1.1\r\nhost: bdc\r\n"),
+        };
+        if let Some(ms) = deadline_ms {
+            req.push_str(&format!("x-bdc-deadline-ms: {ms}\r\n"));
+        }
+        if method == Method::Post {
+            req.push_str(&format!("content-length: {}\r\n\r\n{body}", body.len()));
+        } else {
+            req.push_str("\r\n");
+        }
+        self.response_started = false;
+        self.writer.write_all(req.as_bytes())?;
+        self.writer.flush()?;
+        self.read_response()
     }
 
     /// Issues a `GET`.
@@ -73,31 +136,7 @@ impl Connection {
     /// # Errors
     /// Propagates socket errors (including the server closing mid-reply).
     pub fn get(&mut self, path_query: &str) -> std::io::Result<ClientResponse> {
-        let req = format!("GET {path_query} HTTP/1.1\r\nhost: bdc\r\n\r\n");
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// Issues a `GET` carrying an `x-bdc-deadline-ms` budget, the entry
-    /// point of deadline propagation: the server (or router) subtracts its
-    /// own elapsed time before passing the remainder downstream, and
-    /// refuses outright (fast 503) when the remainder cannot cover the
-    /// work.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn get_with_deadline(
-        &mut self,
-        path_query: &str,
-        deadline_ms: u64,
-    ) -> std::io::Result<ClientResponse> {
-        let req = format!(
-            "GET {path_query} HTTP/1.1\r\nhost: bdc\r\nx-bdc-deadline-ms: {deadline_ms}\r\n\r\n"
-        );
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
+        self.request(Method::Get, path_query, "", None)
     }
 
     /// Issues a `POST` with a JSON body.
@@ -105,45 +144,21 @@ impl Connection {
     /// # Errors
     /// Propagates socket errors.
     pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<ClientResponse> {
-        let req = format!(
-            "POST {path} HTTP/1.1\r\nhost: bdc\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// Issues a `POST` carrying an `x-bdc-deadline-ms` budget (see
-    /// [`Connection::get_with_deadline`]).
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn post_with_deadline(
-        &mut self,
-        path: &str,
-        body: &str,
-        deadline_ms: u64,
-    ) -> std::io::Result<ClientResponse> {
-        let req = format!(
-            "POST {path} HTTP/1.1\r\nhost: bdc\r\nx-bdc-deadline-ms: {deadline_ms}\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
+        self.request(Method::Post, path, body, None)
     }
 
     fn read_response(&mut self) -> std::io::Result<ClientResponse> {
         let bad =
             |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        if self.reader.fill_buf()?.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed connection",
             ));
         }
+        self.response_started = true;
+        let mut line = String::new();
+        self.reader.read_line(&mut line)?;
         let status: u16 = line
             .split(' ')
             .nth(1)
@@ -186,19 +201,6 @@ impl Connection {
 /// Propagates socket errors.
 pub fn get_once(addr: &str, path_query: &str) -> std::io::Result<ClientResponse> {
     Connection::open(addr)?.get(path_query)
-}
-
-/// One-shot convenience with an `x-bdc-deadline-ms` budget: open, `GET`,
-/// close.
-///
-/// # Errors
-/// Propagates socket errors.
-pub fn get_once_with_deadline(
-    addr: &str,
-    path_query: &str,
-    deadline_ms: u64,
-) -> std::io::Result<ClientResponse> {
-    Connection::open(addr)?.get_with_deadline(path_query, deadline_ms)
 }
 
 /// Whether a response status is worth retrying: transient server-side

@@ -14,7 +14,7 @@
 //! The serving pipeline (DESIGN.md §5f):
 //!
 //! ```text
-//! accept ─ bounded hand-off ─ HTTP parse ─ route/validate
+//! blocking accept ─ bounded hand-off ─ HTTP parse ─ route/validate
 //!                                   │
 //!                     response cache (bounded, FIFO)
 //!                                   │ miss
@@ -38,6 +38,7 @@
 
 pub mod api;
 pub mod client;
+pub mod conn;
 pub mod engine;
 pub mod http;
 pub mod json;

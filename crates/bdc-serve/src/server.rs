@@ -1,30 +1,28 @@
-//! The TCP front end: accept loop, connection workers, graceful shutdown.
+//! The worker's front end: the [`crate::conn`] listener serving the API
+//! over the [`Engine`], and graceful shutdown.
 //!
-//! Topology: one non-blocking acceptor thread feeds accepted sockets to a
-//! fixed pool of connection workers over a bounded channel (the first
-//! admission-control layer — when every worker is busy and the hand-off
-//! queue is full, the acceptor answers `429` itself and closes). Each
-//! worker speaks keep-alive HTTP/1.1, routes requests, and resolves
-//! computational calls through the [`Engine`] (the second layer: response
-//! cache → coalesce → bounded queue → shed).
+//! Requests arrive through the shared connection layer (blocking accept,
+//! bounded hand-off, keep-alive workers that give back idle threads —
+//! admission-control layer 1, a full hand-off queue sheds with `429`).
+//! Each request is routed and computational calls resolve through the
+//! [`Engine`] (layer 2: response cache → coalesce → bounded queue → shed).
 //!
 //! Shutdown: `SIGTERM`/`SIGINT` set a flag (see [`install_signal_handlers`])
 //! that [`ServerHandle::run_until_signalled`] polls; tests and the bench
 //! harness call [`ServerHandle::shutdown`] directly. Either way the
-//! listener stops accepting, workers finish their current request, the
-//! engine drains its queue, and every thread is joined before the handle
-//! returns — no request is abandoned mid-computation.
+//! listener stops accepting, workers finish their current request and
+//! close idle connections, the engine drains its queue, and every thread
+//! is joined before the handle returns — no request is abandoned
+//! mid-computation.
 
-use std::io::{BufReader, Write as _};
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bdc_core::Process;
 
 use crate::api::{self, Route};
+use crate::conn::{ListenConfig, Listener, Service};
 use crate::engine::{Engine, EngineConfig, Submission};
 use crate::http::{self, Response};
 use crate::metrics::{Endpoint, Registry};
@@ -45,7 +43,8 @@ pub struct ServeConfig {
     /// Processes whose libraries are characterized before the listener
     /// starts accepting (cold-start avoidance).
     pub warm: Vec<Process>,
-    /// Per-connection socket read timeout.
+    /// Longest a keep-alive connection may sit idle, and the read
+    /// deadline for the rest of a request once its first byte arrived.
     pub read_timeout: Duration,
     /// Per-connection socket write timeout — a stalled client that stops
     /// draining its receive window can otherwise pin a worker forever.
@@ -108,18 +107,17 @@ pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
 
-/// A running server: join handles plus the shared engine and metrics.
+/// A running server: the listener plus the shared engine and its thread.
 pub struct ServerHandle {
-    port: u16,
+    listener: Listener,
     engine: Arc<Engine<api::ApiCall>>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    engine_thread: std::thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.listener.port()
     }
 
     /// The metrics registry.
@@ -137,19 +135,63 @@ impl ServerHandle {
 
     /// Graceful shutdown: stop accepting, drain the engine, join every
     /// thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+    pub fn shutdown(self) {
+        self.listener.stop();
         self.engine.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.listener.join();
+        let _ = self.engine_thread.join();
     }
 }
 
-/// Binds the listener, spawns the engine, acceptor, and connection
-/// workers, and returns the handle. The library warm-up (if requested)
-/// happens before binding so the first accepted request never pays
-/// characterization latency.
+/// The API as a [`Service`]: routing, engine resolution, the shard
+/// header, and per-endpoint latency metrics.
+struct Api {
+    engine: Arc<Engine<api::ApiCall>>,
+    shard: Option<usize>,
+}
+
+impl Service for Api {
+    fn respond(&self, request: &http::Request, arrived: Instant) -> Response {
+        let (endpoint, mut response) = handle(request, &self.engine);
+        if let Some(shard) = self.shard {
+            // Identity rides in a header so the *body* stays byte-identical
+            // across shards — the cluster acceptance gate.
+            response
+                .extra_headers
+                .push(("x-bdc-shard".into(), shard.to_string()));
+        }
+        self.engine
+            .metrics()
+            .endpoint(endpoint)
+            .record(response.status, arrived.elapsed().as_micros() as u64);
+        response
+    }
+
+    fn rejected(&self, status: u16, arrived: Instant) {
+        self.engine
+            .metrics()
+            .endpoint(Endpoint::Other)
+            .record(status, arrived.elapsed().as_micros() as u64);
+    }
+
+    fn accepted(&self) {
+        self.engine
+            .metrics()
+            .connections
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn shed(&self) {
+        self.engine
+            .metrics()
+            .connections_shed
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Spawns the engine, binds the listener, and returns the handle. The
+/// library warm-up (if requested) happens before binding so the first
+/// accepted request never pays characterization latency.
 ///
 /// # Errors
 /// Propagates bind failures.
@@ -157,178 +199,40 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     for p in &cfg.warm {
         let _ = bdc_core::process::shared_kit(*p);
     }
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let port = listener.local_addr()?.port();
-    listener.set_nonblocking(true)?;
-
     let metrics = Arc::new(Registry::default());
-    let engine: Arc<Engine<api::ApiCall>> = Engine::new(cfg.engine.clone(), Arc::clone(&metrics));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
-
-    // Engine batching loop.
-    {
+    let engine: Arc<Engine<api::ApiCall>> = Engine::new(cfg.engine.clone(), metrics);
+    let listener = Listener::start(
+        ListenConfig {
+            addr: cfg.addr,
+            name: "bdc-serve",
+            threads: cfg.conn_threads,
+            backlog: cfg.conn_backlog,
+            read_timeout: cfg.read_timeout,
+            write_timeout: cfg.write_timeout,
+        },
+        Arc::new(Api {
+            engine: Arc::clone(&engine),
+            shard: cfg.shard,
+        }),
+    )?;
+    let engine_thread = {
         let engine = Arc::clone(&engine);
-        threads.push(
-            std::thread::Builder::new()
-                .name("bdc-serve-engine".into())
-                .spawn(move || engine.run(api::execute))?,
-        );
-    }
-
-    // Connection hand-off channel (bounded: admission-control layer 1).
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(cfg.conn_backlog);
-    let rx = Arc::new(Mutex::new(rx));
-    for i in 0..cfg.conn_threads.max(1) {
-        let rx = Arc::clone(&rx);
-        let engine = Arc::clone(&engine);
-        let metrics = Arc::clone(&metrics);
-        let stop = Arc::clone(&stop);
-        let timeouts = (cfg.read_timeout, cfg.write_timeout);
-        let shard = cfg.shard;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("bdc-serve-conn-{i}"))
-                .spawn(move || conn_worker(&rx, &engine, &metrics, &stop, timeouts, shard))?,
-        );
-    }
-
-    // Acceptor.
-    {
-        let metrics = Arc::clone(&metrics);
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name("bdc-serve-accept".into())
-                .spawn(move || acceptor(&listener, &tx, &metrics, &stop))?,
-        );
-    }
-
-    Ok(ServerHandle {
-        port,
-        engine,
-        stop,
-        threads,
-    })
-}
-
-fn acceptor(
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    metrics: &Registry,
-    stop: &AtomicBool,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                metrics.connections.fetch_add(1, Ordering::Relaxed);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut stream)) => {
-                        // Every worker busy and the backlog full: shed at
-                        // the door rather than queue unboundedly. A short
-                        // write timeout keeps a stalled client from
-                        // pinning the acceptor itself.
-                        metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                        let mut resp = Response::error(429, "server saturated; retry");
-                        resp.extra_headers.push(("retry-after".into(), "1".into()));
-                        let _ = resp.write_to(&mut stream, false);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    // Dropping `tx` disconnects the channel; workers drain and exit.
-}
-
-fn conn_worker(
-    rx: &Mutex<Receiver<TcpStream>>,
-    engine: &Engine<api::ApiCall>,
-    metrics: &Registry,
-    stop: &AtomicBool,
-    timeouts: (Duration, Duration),
-    shard: Option<usize>,
-) {
-    loop {
-        // Poll with a timeout so workers also notice `stop` when idle.
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-            guard.recv_timeout(Duration::from_millis(100))
-        };
-        match stream {
-            Ok(stream) => {
-                serve_connection(stream, engine, metrics, stop, timeouts, shard);
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// Serves one keep-alive connection until close, error, or shutdown.
-fn serve_connection(
-    stream: TcpStream,
-    engine: &Engine<api::ApiCall>,
-    metrics: &Registry,
-    stop: &AtomicBool,
-    (read_timeout, write_timeout): (Duration, Duration),
-    shard: Option<usize>,
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+        std::thread::Builder::new()
+            .name("bdc-serve-engine".into())
+            .spawn(move || engine.run(api::execute))
     };
-    let mut reader = BufReader::new(stream);
-    loop {
-        // bdc-lint: allow(D002, latency telemetry; responses carry no Date header)
-        let t0 = Instant::now();
-        let request = match http::read_request(&mut reader) {
-            Ok(r) => r,
-            Err(e) => {
-                let status = e.status();
-                if status != 0 {
-                    metrics
-                        .endpoint(Endpoint::Other)
-                        .record(status, t0.elapsed().as_micros() as u64);
-                    let _ = Response::error(status, &format!("{e:?}")).write_to(&mut writer, false);
-                }
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-        let (endpoint, mut response) = handle(&request, engine);
-        if let Some(shard) = shard {
-            // Identity rides in a header so the *body* stays byte-identical
-            // across shards — the cluster acceptance gate.
-            response
-                .extra_headers
-                .push(("x-bdc-shard".into(), shard.to_string()));
+    let engine_thread = match engine_thread {
+        Ok(t) => t,
+        Err(e) => {
+            listener.join();
+            return Err(e);
         }
-        metrics
-            .endpoint(endpoint)
-            .record(response.status, t0.elapsed().as_micros() as u64);
-        if response.write_to(&mut writer, keep_alive).is_err() {
-            return;
-        }
-        if !keep_alive {
-            let _ = writer.flush();
-            return;
-        }
-    }
+    };
+    Ok(ServerHandle {
+        listener,
+        engine,
+        engine_thread,
+    })
 }
 
 /// Observations an endpoint's latency histogram needs before its p95 is

@@ -3,6 +3,7 @@
 //! metrics accounting, and graceful shutdown.
 
 use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use bdc_serve::client::{get_once, Connection};
 use bdc_serve::json::{self, Json};
@@ -150,4 +151,18 @@ fn shutdown_is_clean_and_idempotent_under_load() {
         get_once(&addr, "/healthz").is_err(),
         "listener survived shutdown"
     );
+}
+
+#[test]
+fn shutdown_with_an_idle_keep_alive_client_drains_within_a_second() {
+    let (handle, addr) = boot();
+    let mut idle = Connection::open(&addr).expect("connect");
+    assert_eq!(idle.get("/healthz").expect("healthz").status, 200);
+    // The client keeps its connection open and sends nothing more.
+    let t0 = Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(took <= Duration::from_secs(1), "drain took {took:?}");
+    // The server closed the idle connection rather than abandoning it.
+    assert!(idle.get("/healthz").is_err(), "idle connection survived");
 }
