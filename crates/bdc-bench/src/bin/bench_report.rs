@@ -17,12 +17,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bdc_core::experiments::{width_ipc_matrix, SimBudget};
-use bdc_core::{synthesize_core, synthesize_core_cached, CoreSpec, Process, TechKit};
+use bdc_core::experiments::SimBudget;
+use bdc_core::{measure_ipc, synthesize_core, synthesize_core_cached, CoreSpec, Process, TechKit};
 use bdc_device::variation::{VariedModel, VtVariation};
 use bdc_device::TftParams;
 use bdc_serve::client::Connection;
 use bdc_serve::{ServeConfig, ServerHandle};
+use bdc_uarch::Workload;
 
 /// One timed measurement.
 struct Row {
@@ -422,13 +423,29 @@ fn main() {
         });
     }
 
-    // --- OoO simulation fan-out: a 2x2 width sub-matrix, quick budget.
+    // --- OoO simulation fan-out: the fig13 width grid at the quick budget.
+    // `measure_ipc` bypasses the artifact cache, so every run simulates.
+    let budget = SimBudget::quick();
+    let sims: Vec<(usize, usize, Workload)> = (3..=7)
+        .flat_map(|be| (1..=6).map(move |fe| (fe, be)))
+        .flat_map(|(fe, be)| Workload::all().into_iter().map(move |wl| (fe, be, wl)))
+        .collect();
     for &(w, label) in &worker_points {
         bdc_exec::set_workers(Some(w));
-        let (_, s) = time(|| width_ipc_matrix(&[1, 2], &[3, 4], SimBudget::quick()));
+        let (stats, s) = time(|| {
+            bdc_exec::par_map(&sims, |&(fe, be, wl)| {
+                let spec = CoreSpec::with_widths(fe, be);
+                measure_ipc(&spec, wl, budget.outer, budget.instructions)
+            })
+        });
+        let instructions: u64 = stats.iter().map(|st| st.instructions).sum();
         rows.push(Row {
             stage: "width_ipc_matrix",
-            detail: format!("2x2 quick, {label} x{w}"),
+            detail: format!(
+                "6x5 quick, {} sims, {instructions} instr, {:.2} MIPS, {label} x{w}",
+                sims.len(),
+                instructions as f64 / s / 1e6
+            ),
             workers: w,
             lanes: ambient_lanes,
             cache: "none",

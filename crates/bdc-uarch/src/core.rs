@@ -15,6 +15,13 @@
 //! * issue bandwidth is limited by the execution pipes (1 memory, 1
 //!   control, N ALU) — the IPC benefit of wider back ends (§5.4);
 //! * fetch/dispatch bandwidth is the front-end width.
+//!
+//! The cycle loop does no heap allocation and no whole-window rescans:
+//! issue walks an age-ordered list of the waiting entries, LSQ occupancy
+//! and the earliest pending completion are counters (`Occupancy`), all
+//! three are updated at dispatch, issue and complete and rebuilt by a
+//! flush, and `complete`/`issue` return at once on cycles where they
+//! provably cannot act.
 
 use std::collections::VecDeque;
 
@@ -28,6 +35,7 @@ use crate::stats::SimStats;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Exec {
+    /// In the issue queue.
     Waiting,
     Executing,
     Done,
@@ -51,7 +59,23 @@ struct RobEntry {
     pred_next: u32,
     /// PHT index used by the prediction, for aligned training.
     pht_index: Option<usize>,
-    in_iq: bool,
+}
+
+/// Window occupancy the cycle loop keeps incrementally. After every tick it
+/// equals `OooCore::recount`, a full ROB scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Occupancy {
+    /// Memory ops not yet complete: load/store-queue entries.
+    lsq: usize,
+    /// Earliest `complete_at` of an executing entry, `u64::MAX` if none.
+    next_complete: u64,
+}
+
+impl Occupancy {
+    const EMPTY: Occupancy = Occupancy {
+        lsq: 0,
+        next_complete: u64::MAX,
+    };
 }
 
 #[derive(Debug, Clone)]
@@ -83,6 +107,9 @@ pub struct OooCore {
     rob: VecDeque<RobEntry>,
     head_seq: u64,
     map: [Option<u64>; 16],
+    /// Seqs of the `Waiting` entries (the issue queue), oldest first.
+    iq: Vec<u64>,
+    occ: Occupancy,
     /// Busy-until cycle per pipe: [mem, ctrl, alu0, alu1, …].
     pipe_busy: Vec<u64>,
     halted: bool,
@@ -109,6 +136,8 @@ impl OooCore {
             rob: VecDeque::new(),
             head_seq: 0,
             map: [None; 16],
+            iq: Vec::with_capacity(cfg.iq_size),
+            occ: Occupancy::EMPTY,
             pipe_busy: vec![0; pipes],
             halted: false,
             cfg,
@@ -173,33 +202,46 @@ impl OooCore {
     // ---- writeback / branch resolution -------------------------------------
 
     fn complete(&mut self) {
+        let cycle = self.cycle;
+        // Exact: nothing executing finishes before the earliest completion.
+        if cycle < self.occ.next_complete {
+            return;
+        }
         // Collect completions in age order to resolve the oldest mispredict.
         let mut flush_after: Option<(u64, u32)> = None;
+        let mut next_complete = u64::MAX;
         for i in 0..self.rob.len() {
-            let cycle = self.cycle;
             let e = &mut self.rob[i];
-            if e.state == Exec::Executing && e.complete_at <= cycle {
-                e.state = Exec::Done;
-                if e.instr.op.is_control() {
-                    // Actual next PC computed at execute time was stashed in
-                    // `value` for jumps (link) — recompute from captured
-                    // operands stored in `store` (reused as (next_pc, 0)).
-                    let (actual_next, _) = e.store.expect("control resolved");
-                    let taken = actual_next != e.pc.wrapping_add(1);
-                    let mispredicted = actual_next != e.pred_next;
-                    let (pc, op, pht) = (e.pc, e.instr.op, e.pht_index);
-                    self.bpred
-                        .update(pc, op, taken, actual_next, mispredicted, pht);
-                    if mispredicted {
-                        self.stats.mispredicts += 1;
-                        let seq = self.rob[i].seq;
-                        if flush_after.is_none_or(|(s, _)| seq < s) {
-                            flush_after = Some((seq, actual_next));
-                        }
+            if e.state != Exec::Executing {
+                continue;
+            }
+            if e.complete_at > cycle {
+                next_complete = next_complete.min(e.complete_at);
+                continue;
+            }
+            e.state = Exec::Done;
+            if e.instr.op.is_mem() {
+                self.occ.lsq -= 1;
+            }
+            if e.instr.op.is_control() {
+                // Actual next PC computed at execute time was stashed in
+                // `value` for jumps (link) — recompute from captured
+                // operands stored in `store` (reused as (next_pc, 0)).
+                let (actual_next, _) = e.store.expect("control resolved");
+                let taken = actual_next != e.pc.wrapping_add(1);
+                let mispredicted = actual_next != e.pred_next;
+                let (pc, op, pht, seq) = (e.pc, e.instr.op, e.pht_index, e.seq);
+                self.bpred
+                    .update(pc, op, taken, actual_next, mispredicted, pht);
+                if mispredicted {
+                    self.stats.mispredicts += 1;
+                    if flush_after.is_none_or(|(s, _)| seq < s) {
+                        flush_after = Some((seq, actual_next));
                     }
                 }
             }
         }
+        self.occ.next_complete = next_complete;
         if let Some((seq, correct_pc)) = flush_after {
             self.flush_younger_than(seq, correct_pc);
         }
@@ -220,13 +262,28 @@ impl OooCore {
         self.fetch_pc = correct_pc;
         self.fetch_stopped = correct_pc as usize >= self.code.len();
         self.fetch_stall_until = 0;
-        // Rebuild the map table from surviving producers.
+        // Rebuild the map table, the issue queue and the occupancy counters
+        // from survivors.
+        self.iq.retain(|&s| s <= seq);
         self.map = [None; 16];
         for e in &self.rob {
             if let Some(rd) = e.instr.dest() {
                 self.map[rd.0 as usize] = Some(e.seq);
             }
         }
+        self.occ = self.recount();
+    }
+
+    /// Occupancy by a full ROB scan: what `self.occ` must equal.
+    fn recount(&self) -> Occupancy {
+        let mut occ = Occupancy::EMPTY;
+        for e in &self.rob {
+            occ.lsq += usize::from(e.instr.op.is_mem() && e.state != Exec::Done);
+            if e.state == Exec::Executing {
+                occ.next_complete = occ.next_complete.min(e.complete_at);
+            }
+        }
+        occ
     }
 
     // ---- retire -------------------------------------------------------------
@@ -290,81 +347,87 @@ impl OooCore {
 
     fn issue(&mut self) {
         let cycle = self.cycle;
-        let extra = self.cfg.stages.issue_to_execute();
-        for i in 0..self.rob.len() {
-            if self.rob[i].state != Exec::Waiting || !self.rob[i].in_iq {
-                continue;
-            }
-            let instr = self.rob[i].instr;
-            let srcs = instr.sources();
-            let producers = self.rob[i].producers;
-            let ready = srcs
-                .iter()
-                .enumerate()
-                .all(|(k, _)| self.producer_ready(producers[k]));
-            if !ready {
-                continue;
-            }
-            // Loads additionally wait for all older stores to resolve.
-            if instr.op == Op::Lw {
-                let seq = self.rob[i].seq;
-                let blocked = self
-                    .rob
-                    .iter()
-                    .take(i)
-                    .any(|e| e.seq < seq && e.instr.op == Op::Sw && e.store.is_none());
-                if blocked {
-                    continue;
-                }
-            }
-            // Find a pipe.
-            let pipe = self.find_pipe(instr.op, cycle);
-            let Some(pipe) = pipe else { continue };
-
-            // Capture operand values.
-            let vals: Vec<u32> = srcs
-                .iter()
-                .enumerate()
-                .map(|(k, &r)| self.source_value(r, producers[k]))
-                .collect();
-            let mut regs = [0u32; 16];
-            for (k, &r) in srcs.iter().enumerate() {
-                regs[r.0 as usize] = vals[k];
-            }
-
-            let pc = self.rob[i].pc;
-            let my_seq = self.rob[i].seq;
-            let (latency, value, store, next_pc) = self.execute_op(instr, pc, &regs, my_seq);
-            let occupy = if instr.op == Op::Div || instr.op == Op::Rem {
-                latency // unpipelined divider
-            } else {
-                1
-            };
-            self.pipe_busy[pipe] = cycle + occupy;
-            let e = &mut self.rob[i];
-            e.state = Exec::Executing;
-            e.complete_at = cycle + extra + latency;
-            e.value = value;
-            e.store = if instr.op.is_control() {
-                Some((next_pc, 0)) // stash resolution for `complete`
-            } else {
-                store
-            };
-            e.in_iq = false;
+        // Exact: with no waiting entry or no free pipe nothing can issue.
+        if self.iq.is_empty() || self.pipe_busy.iter().all(|&busy| busy > cycle) {
+            return;
         }
+        let extra = self.cfg.stages.issue_to_execute();
+        // Loads wait for every older store to resolve its address. A store
+        // resolves when it issues, so the unresolved ones are exactly the
+        // stores still waiting: a running flag over this age-ordered walk,
+        // covering stores issued earlier in the same walk.
+        let mut store_pending = false;
+        let mut kept = 0;
+        for k in 0..self.iq.len() {
+            let seq = self.iq[k];
+            let i = (seq - self.head_seq) as usize;
+            if !self.try_issue(i, cycle, extra, store_pending) {
+                self.iq[kept] = seq;
+                kept += 1;
+                store_pending |= self.rob[i].instr.op == Op::Sw;
+            }
+        }
+        self.iq.truncate(kept);
+    }
+
+    /// Issues waiting ROB entry `i` if its operands are ready, it is not a
+    /// load behind an unresolved store, and its pipe is free; returns
+    /// whether it issued.
+    fn try_issue(&mut self, i: usize, cycle: u64, extra: u64, store_pending: bool) -> bool {
+        let e = &self.rob[i];
+        let (instr, producers, pc, my_seq) = (e.instr, e.producers, e.pc, e.seq);
+        let srcs = instr.sources();
+        if !producers[..srcs.len()]
+            .iter()
+            .all(|&p| self.producer_ready(p))
+        {
+            return false;
+        }
+        if instr.op == Op::Lw && store_pending {
+            return false;
+        }
+        let Some(pipe) = self.find_pipe(instr.op, cycle) else {
+            return false;
+        };
+
+        // Capture operand values.
+        let mut regs = [0u32; 16];
+        for (&r, &p) in srcs.iter().zip(&producers) {
+            regs[r.0 as usize] = self.source_value(r, p);
+        }
+
+        let (latency, value, store, next_pc) = self.execute_op(instr, pc, &regs, my_seq);
+        let occupy = if instr.op == Op::Div || instr.op == Op::Rem {
+            latency // unpipelined divider
+        } else {
+            1
+        };
+        self.pipe_busy[pipe] = cycle + occupy;
+        let complete_at = cycle + extra + latency;
+        let e = &mut self.rob[i];
+        e.state = Exec::Executing;
+        e.complete_at = complete_at;
+        e.value = value;
+        e.store = if instr.op.is_control() {
+            Some((next_pc, 0)) // stash resolution for `complete`
+        } else {
+            store
+        };
+        self.occ.next_complete = self.occ.next_complete.min(complete_at);
+        true
     }
 
     fn find_pipe(&self, op: Op, cycle: u64) -> Option<usize> {
-        let candidates: Vec<usize> = if op.is_mem() {
-            vec![0]
+        // Pipe 0 is memory, pipe 1 control; ALU and mul/div ops share pipes
+        // 2..: every ALU pipe has a mul/div unit.
+        let pipes = if op.is_mem() {
+            0..1
         } else if op.is_control() {
-            vec![1]
+            1..2
         } else {
-            // ALU and mul/div ops share pipes 2..: every ALU pipe has a
-            // mul/div unit.
-            (2..self.pipe_busy.len()).collect()
+            2..self.pipe_busy.len()
         };
-        candidates.into_iter().find(|&p| self.pipe_busy[p] <= cycle)
+        pipes.into_iter().find(|&p| self.pipe_busy[p] <= cycle)
     }
 
     /// Executes the operation functionally and returns
@@ -435,30 +498,19 @@ impl OooCore {
             if fe.ready_at > cycle {
                 break;
             }
-            if self.rob.len() >= self.cfg.rob_size {
+            if self.rob.len() >= self.cfg.rob_size || self.iq.len() >= self.cfg.iq_size {
                 break;
             }
-            let iq_occupancy = self.rob.iter().filter(|e| e.in_iq).count();
-            if iq_occupancy >= self.cfg.iq_size {
+            let is_mem = fe.instr.op.is_mem();
+            if is_mem && self.occ.lsq >= self.cfg.lsq_size {
                 break;
-            }
-            if fe.instr.op.is_mem() {
-                let lsq = self
-                    .rob
-                    .iter()
-                    .filter(|e| e.instr.op.is_mem() && e.state != Exec::Done)
-                    .count();
-                if lsq >= self.cfg.lsq_size {
-                    break;
-                }
             }
             let fe = self.front.pop_front().expect("peeked");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let srcs = fe.instr.sources();
             let mut producers = [None, None];
-            for (k, r) in srcs.iter().enumerate() {
-                producers[k] = self.map[r.0 as usize];
+            for (p, r) in producers.iter_mut().zip(fe.instr.sources().iter()) {
+                *p = self.map[r.0 as usize];
             }
             if let Some(rd) = fe.instr.dest() {
                 self.map[rd.0 as usize] = Some(seq);
@@ -468,6 +520,11 @@ impl OooCore {
             } else {
                 Exec::Waiting
             };
+            // Every memory op enters waiting, so it joins both queues.
+            if state == Exec::Waiting {
+                self.iq.push(seq);
+            }
+            self.occ.lsq += usize::from(is_mem);
             self.rob.push_back(RobEntry {
                 seq,
                 pc: fe.pc,
@@ -479,7 +536,6 @@ impl OooCore {
                 complete_at: cycle,
                 pred_next: fe.pred_next,
                 pht_index: fe.pht_index,
-                in_iq: state == Exec::Waiting,
             });
         }
     }
@@ -613,14 +669,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deeper_frontend_hurts_branchy_code() {
-        // A data-dependent (hard-to-predict) branch pattern.
+    /// A data-dependent (hard-to-predict) branch pattern over `n` iterations.
+    fn branchy_program(n: i32) -> Program {
         let mut a = Asm::new();
         let top = a.label();
         let skip = a.label();
         a.li(Reg(1), 0); // i
-        a.li(Reg(2), 3000); // limit
+        a.li(Reg(2), n); // limit
         a.li(Reg(3), 0x55AA); // lfsr-ish state
         a.li(Reg(4), 0);
         a.bind(top);
@@ -638,8 +693,12 @@ mod tests {
         a.addi(Reg(1), Reg(1), 1);
         a.blt(Reg(1), Reg(2), top);
         a.halt();
-        let p = a.assemble();
+        a.assemble()
+    }
 
+    #[test]
+    fn deeper_frontend_hurts_branchy_code() {
+        let p = branchy_program(3000);
         let shallow = OooCore::new(&p, CoreConfig::baseline(), 1 << 14).run(300_000);
         let mut deep_cfg = CoreConfig::baseline();
         for _ in 0..6 {
@@ -676,6 +735,85 @@ mod tests {
         assert_eq!(core.arch_regs()[3], 124);
         assert_eq!(core.arch_regs()[4], 124);
         assert_eq!(core.memory().read(64), 124);
+    }
+
+    /// Ticks `program` to HALT, checking after every tick that the issue
+    /// queue and counters the cycle loop keeps equal a full ROB recount.
+    fn run_checking_occupancy(program: &Program, cfg: CoreConfig) -> SimStats {
+        let mut core = OooCore::new(program, cfg, 1 << 14);
+        while !core.halted() {
+            core.tick();
+            assert_eq!(core.occ, core.recount(), "cycle {}", core.cycle);
+            let waiting: Vec<u64> = core
+                .rob
+                .iter()
+                .filter(|e| e.state == Exec::Waiting)
+                .map(|e| e.seq)
+                .collect();
+            assert_eq!(core.iq, waiting, "cycle {}", core.cycle);
+            assert!(core.cycle < 1_000_000, "program did not halt");
+        }
+        core.stats()
+    }
+
+    /// Configurations whose IQ and LSQ fill, so dispatch stalls on the
+    /// counters as well as on the ROB.
+    fn occupancy_configs() -> [CoreConfig; 3] {
+        let tight = CoreConfig {
+            iq_size: 6,
+            rob_size: 24,
+            lsq_size: 3,
+            ..CoreConfig::with_widths(4, 6)
+        };
+        [CoreConfig::baseline(), CoreConfig::with_widths(4, 6), tight]
+    }
+
+    #[test]
+    fn occupancy_counters_survive_mispredict_flushes() {
+        let p = branchy_program(400);
+        for cfg in occupancy_configs() {
+            let stats = run_checking_occupancy(&p, cfg);
+            assert!(stats.flushes > 50, "flushes {}", stats.flushes);
+        }
+    }
+
+    #[test]
+    fn occupancy_counters_survive_store_load_forwarding() {
+        // Each iteration's first load misses the d-cache and holds the ROB
+        // head, so the store behind it executes but cannot retire, and the
+        // reload of its word forwards from the in-flight store.
+        let mut a = Asm::new();
+        let top = a.label();
+        a.li(Reg(1), 256); // base
+        a.li(Reg(2), 0); // i
+        a.li(Reg(3), 300); // trips
+        a.li(Reg(12), 4096); // streaming pointer, one new line per trip
+        a.bind(top);
+        a.lw(Reg(11), Reg(12), 0);
+        a.andi(Reg(6), Reg(2), 7);
+        a.add(Reg(6), Reg(6), Reg(1));
+        a.sw(Reg(2), Reg(6), 0);
+        a.lw(Reg(7), Reg(6), 0);
+        a.add(Reg(8), Reg(8), Reg(7));
+        a.addi(Reg(12), Reg(12), 64);
+        a.addi(Reg(2), Reg(2), 1);
+        a.blt(Reg(2), Reg(3), top);
+        a.halt();
+        let p = a.assemble();
+        for cfg in occupancy_configs() {
+            let stats = run_checking_occupancy(&p, cfg);
+            // A store touches the d-cache at retire and a load at issue
+            // unless it forwards, so fewer accesses than retired memory
+            // ops means some loads forwarded.
+            let (h, m) = stats.dcache;
+            assert!(
+                h + m < stats.loads + stats.stores,
+                "no forwarding: {} accesses for {} loads + {} stores",
+                h + m,
+                stats.loads,
+                stats.stores
+            );
+        }
     }
 
     #[test]
