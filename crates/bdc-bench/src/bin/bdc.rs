@@ -1,23 +1,21 @@
 //! `bdc` — the experiment-registry CLI.
 //!
-//! One binary over `bdc_core::registry` replaces the 25 per-figure
-//! binaries (which remain as shims):
+//! One binary over `bdc_core::registry` is the one way to run an
+//! experiment:
 //!
 //! ```text
 //! bdc list [--json]                  # the catalogue, with node ids
-//! bdc run fig12 --quick              # one node, legacy-identical stdout
+//! bdc run fig12 --quick              # one node
 //! bdc run --all --quick              # the whole plan, parallel
 //! bdc run --all --quick --require-warm   # fail unless every node hit cache
 //! bdc run --all --max-retries 5      # widen the per-node retry budget
 //! bdc verify [--audit-deps] [--quick]    # plan-graph static analysis
-//! bdc lint --workspace               # determinism audit over the sources
 //! bdc cluster --shards 3             # sharded serving fleet + router
 //! bdc sweep --param organic.vt=-1.4:-0.6:21 --quick   # incremental grid
 //! ```
 //!
 //! `run` prints the selected nodes' rendered text to stdout in catalogue
-//! order (a single-node run is byte-identical to the legacy binary) and
-//! writes the run manifest — per-node status/attempts, wall time, cache
+//! order and writes the run manifest — per-node status/attempts, wall time, cache
 //! hit/miss, artifact key, and the run's fault/recovery counters — to
 //! `results/run_manifest.json`. Progress and the per-node summary go to
 //! stderr so stdout stays clean for diffing. A node that panics or errors
@@ -34,7 +32,6 @@ fn usage() -> ! {
         "usage:\n  bdc list [--json]\n  bdc run [--quick] [--all] [--require-warm] \
          [--max-retries N] <id>...\n  bdc sweep --param NAME=START:END:COUNT [--quick] \
          [--resume] [<id>...]\n  bdc verify [--audit-deps] [--quick]\n  \
-         bdc lint --workspace\n  \
          bdc cluster [--shards N] [--addr HOST:PORT] [--base-port P] [--ring-seed S] \
          [--vnodes V]\n              [--proxy-retries R] [--serve-bin PATH] [--cache-root DIR] \
          [--pid-file PATH]\n              [--queue-cap N] [--deadline-ms MS] [--max-retries N] \
@@ -322,7 +319,7 @@ fn cmd_verify(args: &[String]) -> ! {
     }
 
     let json = bdc_verify::report_json(&ir, &report, audited, stage_count).encode();
-    let root = bdc_lint::find_workspace_root().unwrap_or_else(|| std::path::PathBuf::from("."));
+    let root = find_workspace_root().unwrap_or_else(|| std::path::PathBuf::from("."));
     let dir = root.join("results");
     let written = std::fs::create_dir_all(&dir).is_ok()
         && std::fs::write(dir.join("verify_report.json"), json + "\n").is_ok();
@@ -339,24 +336,22 @@ fn cmd_verify(args: &[String]) -> ! {
     std::process::exit(1);
 }
 
-fn cmd_lint(args: &[String]) -> ! {
-    if args.iter().any(|a| a != "--workspace") || args.is_empty() {
-        eprintln!("`bdc lint` currently supports exactly: bdc lint --workspace");
-        usage();
-    }
-    let root = match bdc_lint::find_workspace_root() {
-        Some(r) => r,
-        None => {
-            eprintln!("error: could not locate the workspace root (no Cargo.toml with [workspace] above the current directory)");
-            std::process::exit(2);
+/// Walks up from the current directory to the first directory whose
+/// `Cargo.toml` declares `[workspace]` — where `bdc verify` writes its
+/// report artifact.
+fn find_workspace_root() -> Option<std::path::PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
+    loop {
+        let manifest = dir.join("Cargo.toml");
+        if let Ok(text) = std::fs::read_to_string(&manifest) {
+            if text.contains("[workspace]") {
+                return Some(dir);
+            }
         }
-    };
-    let report = bdc_lint::lint_workspace(&root);
-    print!("{report}");
-    if report.is_clean() {
-        std::process::exit(0);
+        if !dir.pop() {
+            return None;
+        }
     }
-    std::process::exit(1);
 }
 
 fn cmd_cluster(args: &[String]) -> ! {
@@ -383,7 +378,6 @@ fn main() {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
         _ => usage(),
     }

@@ -70,6 +70,10 @@ struct SweepBench {
 /// recomputes only the organic invalidation cone. The 21-point
 /// projection is the acceptance comparison for `bdc sweep`: one sweep vs
 /// 21 independent cold runs of the same plan.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "saves BDC_CACHE_DIR to restore it after the timed sweep"
+)]
 fn sweep_section() -> Option<SweepBench> {
     use bdc_core::sweep::{run_sweep, stage_key_collisions, SweepSpec};
     let dir = std::env::temp_dir().join(format!("bdc-bench-sweep-{}", std::process::id()));
@@ -138,6 +142,10 @@ fn quantile_ms(sorted_us: &[u64], q: f64) -> f64 {
 /// Boots the daemon on an ephemeral port, measures the cold pass (every
 /// query computes through the engine) and a warm pass (every query is a
 /// response-cache hit), and shuts the server down cleanly.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "benchmark harness: the wall time it measures is its report, not artifact bytes"
+)]
 fn serve_section() -> Vec<ServeStat> {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -204,6 +212,10 @@ fn serve_section() -> Vec<ServeStat> {
     stats
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "benchmark harness: the wall time it measures is its report, not artifact bytes"
+)]
 fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let v = f();
@@ -222,6 +234,10 @@ struct ClusterStat {
 /// Boots a 3-shard in-process fleet behind the router and measures the
 /// router's proxy overhead (warm query direct vs proxied) and the peer
 /// artifact path (framed fetch wall vs full recharacterization wall).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "benchmark harness: the wall time it measures is its report, not artifact bytes"
+)]
 fn cluster_section() -> (Vec<ClusterStat>, Option<(f64, f64)>) {
     use bdc_cluster::router::{start_router, RouterConfig};
 

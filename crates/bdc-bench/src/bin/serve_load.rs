@@ -227,6 +227,10 @@ fn draw(rng: &mut SplitMix64, mix: &str) -> String {
 /// and tallies the final outcome. Latency samples cover the successful
 /// attempt only — the retry chain is a recovery path, not a latency
 /// observation.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "load generator: latency and pacing are its report, not artifact bytes"
+)]
 fn fetch_with_retry(
     retries: u32,
     path: &str,
@@ -263,6 +267,10 @@ fn per_target(n: usize) -> Vec<std::sync::Mutex<Tally>> {
         .collect()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "load generator: latency and pacing are its report, not artifact bytes"
+)]
 fn closed_loop(a: &Args) -> Vec<Tally> {
     let deadline = Instant::now() + a.duration;
     let tallies = per_target(a.addrs.len());
@@ -307,6 +315,10 @@ fn closed_loop(a: &Args) -> Vec<Tally> {
         .collect()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "load generator: latency and pacing are its report, not artifact bytes"
+)]
 fn open_loop(a: &Args) -> Vec<Tally> {
     let interval = Duration::from_secs_f64(1.0 / a.rate.max(0.1));
     let start = Instant::now();
@@ -358,6 +370,10 @@ fn check_metrics(addr: &str, cluster: bool) -> Result<(), String> {
     Ok(())
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "load generator: latency and pacing are its report, not artifact bytes"
+)]
 fn main() {
     if let Err(e) = bdc_exec::env_config() {
         eprintln!("serve_load: {e}");

@@ -421,7 +421,10 @@ fn organic_gate_inner(
 /// Core pseudo-E builder: a level-shifter stage replicating the pull-up
 /// network into internal node X (swinging VDD…VSS), and an output stage
 /// whose pull-down is gated by X.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the circuit, rails, inputs, sizing and device tweak are independent inputs"
+)]
 fn build_pseudo_e(
     mut c: Circuit,
     n_vdd: NodeId,

@@ -284,7 +284,10 @@ impl TranSolver {
     /// (up to 32 sub-steps). `x` must hold the state at `t0` on entry;
     /// holds the state at `t0 + h` on success. `cap_hist` is only advanced
     /// on success.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the interval, state buffers and scratch are disjoint borrows of the caller"
+    )]
     pub(crate) fn advance_subdivided(
         &self,
         work: &mut Circuit,

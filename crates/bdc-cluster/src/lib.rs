@@ -1,3 +1,5 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 //! Sharded multi-process serving for the biodegradable-computing stack.
 //!
 //! A `bdc-cluster` fleet is N independent `bdc_serve` worker processes —

@@ -329,7 +329,10 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
         format!("{}?{}", request.path, request.query)
     };
     shared.metrics.proxied.fetch_add(1, Ordering::Relaxed);
-    // bdc-lint: allow(D002, deadline-budget tracking, not artifact bytes)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline-budget tracking, not artifact bytes"
+    )]
     let t0 = Instant::now();
     let replicas = shared.ring.replicas(slot);
     let attempts = shared.cfg.proxy_retries as usize + 1;
@@ -386,7 +389,10 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
         // An injected partition severs this attempt before any bytes move
         // — the seeded roll heals across attempts, so failover recovers.
         let partitioned = faults::inject_partition(&path_query, attempt as u64);
-        // bdc-lint: allow(D002, breaker latency telemetry, not artifact bytes)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "breaker latency telemetry, not artifact bytes"
+        )]
         let attempt_start = Instant::now();
         let result = if partitioned {
             Err(std::io::Error::new(

@@ -59,7 +59,6 @@ pub struct SupervisorConfig {
 struct Slot {
     shard: usize,
     child: Option<Child>,
-    // bdc-lint: allow(D002, restart-policy uptime tracking, not artifact bytes)
     started: Instant,
     attempt: u64,
 }
@@ -90,7 +89,10 @@ pub fn start_supervisor(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
         slots.push(Slot {
             shard,
             child: Some(child),
-            // bdc-lint: allow(D002, restart-policy uptime tracking, not artifact bytes)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "restart-policy uptime tracking, not artifact bytes"
+            )]
             started: Instant::now(),
             attempt: 0,
         });
@@ -136,6 +138,10 @@ fn spawn_worker(cfg: &SupervisorConfig, shard: usize) -> std::io::Result<Child> 
 
 /// The monitor: restart crashed workers with seeded backoff until the
 /// fleet is stopped.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "restart-policy uptime tracking, not artifact bytes"
+)]
 fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(POLL);
@@ -167,7 +173,6 @@ fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &AtomicB
                 match spawn_worker(cfg, slot.shard) {
                     Ok(child) => {
                         slot.child = Some(child);
-                        // bdc-lint: allow(D002, restart-policy uptime tracking, not artifact bytes)
                         slot.started = Instant::now();
                         restarted = true;
                     }
@@ -298,7 +303,10 @@ fn send_signal(pid: u32, sig: i32) {
     // Mirrors the one unsafe precedent in `bdc_serve::install_signal_handlers`:
     // libc signalling has no safe std equivalent, and `kill(2)` with a
     // pid we spawned is memory-safe by construction.
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "kill(2) has no safe std equivalent; signalling a child we spawned is memory-safe"
+    )]
     {
         extern "C" {
             fn kill(pid: i32, sig: i32) -> i32;
@@ -332,7 +340,10 @@ impl Supervisor {
     /// Polls every shard's `/healthz` until all answer or the deadline
     /// expires; returns whether the fleet came up.
     pub fn wait_ready(&self, timeout: Duration) -> bool {
-        // bdc-lint: allow(D002, boot-deadline tracking, not artifact bytes)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "boot-deadline tracking, not artifact bytes"
+        )]
         let t0 = Instant::now();
         let addrs = self.shard_addrs();
         loop {
@@ -371,7 +382,10 @@ impl Supervisor {
                 send_signal(child.id(), 15); // SIGTERM
             }
         }
-        // bdc-lint: allow(D002, drain-deadline tracking, not artifact bytes)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "drain-deadline tracking, not artifact bytes"
+        )]
         let t0 = Instant::now();
         for slot in guard.iter_mut() {
             let Some(child) = &mut slot.child else {

@@ -377,6 +377,10 @@ fn owner_of(path_query: &str) -> usize {
 /// A never-seen IPC query that simulates for a few hundred milliseconds.
 /// Its instruction cap is unique per call and per run, so neither the
 /// response cache nor the artifact cache can answer it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock nonce keeps the query unseen by earlier runs' caches"
+)]
 fn slow_fresh_ipc() -> String {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let nanos = SystemTime::now()
@@ -419,6 +423,7 @@ fn assert_no_failover_and_no_breaker_failure(router_addr: &str) {
 
 /// GETs `path` on a fresh connection and returns the answer and how long
 /// it took.
+#[expect(clippy::disallowed_methods, reason = "the test measures latency")]
 fn timed_get(addr: &str, path: &str) -> (bdc_serve::client::ClientResponse, Duration) {
     let t0 = Instant::now();
     let r = Connection::open(addr)
@@ -450,6 +455,7 @@ fn a_shards_brownout_header_survives_the_router() {
             .expect("engine gauge")
     };
     let wait_until = |done: &dyn Fn() -> bool| {
+        #[expect(clippy::disallowed_methods, reason = "polling deadline")]
         let t0 = Instant::now();
         while !done() && t0.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(1));
@@ -618,6 +624,7 @@ fn a_full_upstream_pool_does_not_starve_the_shard() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test measures drain time")]
 fn router_and_shards_drain_promptly_with_idle_keep_alive_clients() {
     let (handles, addrs, router, router_addr) = boot_fleet(3);
     let path = "/v1/ipc?workload=gzip&outer=5&instructions=4000";

@@ -2,13 +2,12 @@
 //! extension and ablation, plus the plan scheduler that runs them.
 //!
 //! Every experiment the repository can reproduce is a [`Node`]: a stable
-//! kebab-case id, the title/subtitle the legacy binary used to print, the
+//! kebab-case id, the title/subtitle of its report header, the
 //! canonical drivers it exercises, its declared library dependencies, and
 //! a deterministic render function. Consumers stack on top of the same
 //! catalogue:
 //!
 //! - the `bdc` CLI (`bdc list`, `bdc run fig12 --quick`, `bdc run --all`),
-//! - the 25 legacy binaries, now ~5-line shims over [`run_one`],
 //! - `bdc-serve`'s `/v1/experiments` and `/v1/experiment` endpoints,
 //! - `bench_report`'s registry section and the CI smoke gate.
 //!
@@ -51,11 +50,13 @@ pub enum Dep {
 pub struct Node {
     /// Stable kebab/fig-case identifier (`fig12`, `table-library`, ...).
     pub id: &'static str,
-    /// Header title, exactly as the legacy binary printed it.
+    /// Header title, exactly as the retired per-figure binary printed it.
     pub title: &'static str,
     /// Header subtitle (the "what" of `== title: what ==`).
     pub what: &'static str,
-    /// Name of the legacy binary this node replaced.
+    /// Name of the retired per-figure binary this node replaced. Kept in
+    /// `bdc list --json` and `results/verify_report.json` as a stable
+    /// alias; run the node with `bdc run <id>`.
     pub legacy_bin: &'static str,
     /// Canonical drivers (from `experiments::driver_names()` /
     /// `extensions::driver_names()`) this node exercises.
@@ -689,7 +690,10 @@ pub fn run_plan_with_overlay(
     let nodes = par_map(&selected, |node| {
         // Wall-clock feeds only the manifest's telemetry column, never the
         // rendered (cached) bytes.
-        // bdc-lint: allow(D002, wall_s is run telemetry, not artifact bytes)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall_s is run telemetry, not artifact bytes"
+        )]
         let t0 = Instant::now();
         let site = format!("node-{}", node.id);
         let mut attempts: u32 = 0;

@@ -232,7 +232,10 @@ pub fn run_sweep_checkpointed(
     let identity = sweep_identity(spec, ids, quick);
     // Wall-clock feeds only the manifest's telemetry, never the
     // transcript bytes.
-    // bdc-lint: allow(D002, elapsed_s is sweep telemetry, not artifact bytes)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "elapsed_s is sweep telemetry, not artifact bytes"
+    )]
     let t_sweep = Instant::now();
     let mut slots: Vec<Option<SweepPoint>> = match (checkpoint_dir, resume) {
         (Some(dir), true) => load_checkpoints(dir, &identity, spec, quick, &values),
@@ -476,7 +479,10 @@ fn run_point(
     let overlay = spec.overlay_for(value);
     let scope = new_scope();
     let _in_scope = enter_scope(scope);
-    // bdc-lint: allow(D002, wall_s is sweep telemetry, not artifact bytes)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall_s is sweep telemetry, not artifact bytes"
+    )]
     let t0 = Instant::now();
     let report =
         registry::run_plan_with_overlay(ids, quick, registry::DEFAULT_MAX_RETRIES, overlay)?;

@@ -44,6 +44,10 @@ pub fn set_batch_lanes(n: Option<usize>) {
 /// a typo'd knob must not silently run a different kernel than the user
 /// asked to measure. Binaries that call [`crate::env_config`] up front
 /// never reach this backstop.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bdc-exec is where the BDC_* knobs are read and validated"
+)]
 pub fn batch_lanes() -> usize {
     let forced = LANE_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {

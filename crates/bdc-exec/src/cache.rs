@@ -128,6 +128,10 @@ pub fn parse_cache_budget_mb(raw: &str) -> Result<u64, String> {
 /// front through [`crate::env_config`], so this is a backstop, and
 /// silently ignoring an explicitly requested budget would let the store
 /// grow unbounded against the operator's stated intent.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bdc-exec is where the BDC_* knobs are read and validated"
+)]
 fn env_budget_bytes() -> Option<u64> {
     static BUDGET: OnceLock<Option<u64>> = OnceLock::new();
     *BUDGET.get_or_init(|| match std::env::var("BDC_CACHE_BUDGET_MB") {
@@ -400,6 +404,10 @@ impl ArtifactCache {
     /// An explicitly requested cache root that silently degrades to
     /// all-miss behaviour would hide a misconfiguration; only the
     /// *default* root keeps the failures-are-misses contract.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bdc-exec is where the BDC_* knobs are read and validated"
+    )]
     pub fn shared() -> Self {
         if std::env::var_os("BDC_NO_CACHE").is_some() {
             return Self::disabled();

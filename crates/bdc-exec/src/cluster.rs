@@ -130,6 +130,10 @@ pub fn parse_peer_ports(raw: &str) -> Result<Vec<u16>, String> {
 /// # Errors
 /// A one-line diagnostic naming the offending knob, suitable for printing
 /// verbatim before exiting 2.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bdc-exec is where the BDC_* knobs are read and validated"
+)]
 pub fn cluster_env() -> Result<Option<ClusterEnv>, String> {
     let get = |name: &str| std::env::var(name).ok();
     let (shards_raw, seed_raw, id_raw, ports_raw) = (

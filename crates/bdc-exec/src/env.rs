@@ -63,6 +63,10 @@ pub struct EnvConfig {
 /// Returns the hardened parsers' diagnostics (which name the offending
 /// variable) when a set variable is malformed, so callers can print the
 /// message verbatim and exit instead of panicking mid-run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bdc-exec is where the BDC_* knobs are read and validated"
+)]
 pub fn env_config() -> Result<EnvConfig, String> {
     let workers = match std::env::var("BDC_WORKERS") {
         Ok(raw) => Some(parse_workers(&raw)?),
@@ -115,6 +119,10 @@ mod tests {
     // default in `cargo test`) — full end-to-end env handling is covered by
     // the CLI integration tests in bdc-bench.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test runs only when the BDC_* knobs are unset"
+    )]
     fn unset_environment_is_all_none() {
         if std::env::var_os("BDC_WORKERS").is_none()
             && std::env::var_os("BDC_CACHE_DIR").is_none()

@@ -228,6 +228,10 @@ pub fn install(cfg: Option<FaultConfig>) {
 /// diagnostic — binaries validate it up front through
 /// [`crate::env_config`], so this is a backstop, and silently ignoring an
 /// explicitly requested fault spec would make chaos runs lie.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bdc-exec is where the BDC_* knobs are read and validated"
+)]
 pub fn active() -> Option<Arc<FaultConfig>> {
     let mut st = STATE.lock().unwrap_or_else(|p| p.into_inner());
     if !st.initialized {

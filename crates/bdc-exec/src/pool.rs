@@ -42,6 +42,10 @@ pub fn set_workers(n: Option<usize>) {
 /// panic's backtrace spam is the wrong answer to a typo'd env var.
 /// Binaries that call [`crate::env_config`] up front never reach this
 /// backstop.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bdc-exec is where the BDC_* knobs are read and validated"
+)]
 pub fn workers() -> usize {
     let forced = WORKER_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {

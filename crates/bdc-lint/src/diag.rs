@@ -31,7 +31,8 @@ impl fmt::Display for Severity {
 
 /// Every rule the analyzer knows, across all front-ends.
 ///
-/// Netlist rules are `NL*`, library rules `LB*`, device rules `DV*`. The
+/// Netlist rules are `NL*`, library rules `LB*`, device rules `DV*`, and
+/// plan- and stage-graph rules `PG*` (raised by `bdc-verify`). The
 /// catalogue (with rationale and hints) is documented in `DESIGN.md`
 /// §"Static analysis".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,31 +105,6 @@ pub enum Rule {
     /// DV005: off-current floor non-positive or so large the on/off ratio
     /// collapses.
     BadOffCurrent,
-    /// D001: `HashMap`/`HashSet` in a render/serve/cache path — iteration
-    /// order is seeded per-process, so any order reaching rendered bytes is
-    /// nondeterministic across runs.
-    HashOrderHazard,
-    /// D002: ambient time (`SystemTime::now`/`Instant::now`) in a path whose
-    /// output is cached or rendered — wall-clock values leaking into
-    /// artifacts break byte-identity.
-    AmbientTime,
-    /// D003: explicit `RandomState` — a per-process random hasher seed in a
-    /// determinism-sensitive path.
-    RandomStateHazard,
-    /// D004: thread-id dependence (`thread::current().id()`) — output that
-    /// varies with scheduler assignment.
-    ThreadIdHazard,
-    /// D005: `unwrap()`/`expect(` in a `bdc-serve` request path — a panic
-    /// there kills a connection worker instead of returning a 4xx/5xx.
-    ServeUnwrap,
-    /// D006: ambient environment read (`env::var`/`env::var_os`) in a
-    /// render path — configuration reaching rendered bytes must flow
-    /// through the cache key, not `std::env`.
-    AmbientEnv,
-    /// D007: a malformed suppression comment (a `bdc-lint:` allow
-    /// directive with an unknown rule id or a missing reason); silent
-    /// typos would mask real findings.
-    BadAllowDirective,
     /// PG001: two registry nodes share an id.
     DuplicateNodeId,
     /// PG002: two registry nodes map to the same cache key at some budget —
@@ -190,13 +166,6 @@ impl Rule {
             Rule::VtOutOfRange => "DV003",
             Rule::BadSubthresholdSlope => "DV004",
             Rule::BadOffCurrent => "DV005",
-            Rule::HashOrderHazard => "D001",
-            Rule::AmbientTime => "D002",
-            Rule::RandomStateHazard => "D003",
-            Rule::ThreadIdHazard => "D004",
-            Rule::ServeUnwrap => "D005",
-            Rule::AmbientEnv => "D006",
-            Rule::BadAllowDirective => "D007",
             Rule::DuplicateNodeId => "PG001",
             Rule::CacheKeyCollision => "PG002",
             Rule::UnderKeyedNode => "PG003",
@@ -208,12 +177,6 @@ impl Rule {
             Rule::StageKeyInsensitive => "PG009",
             Rule::StageKeyCollision => "PG010",
         }
-    }
-
-    /// Parses a stable rule id (e.g. `D001`) back to its rule, for
-    /// `bdc-lint:` allow directives.
-    pub fn from_id(id: &str) -> Option<Rule> {
-        ALL_RULES.iter().copied().find(|r| r.id() == id)
     }
 
     /// The severity findings of this rule carry.
@@ -245,16 +208,6 @@ impl Rule {
             Rule::FanoutOverMax | Rule::UnmappedThreeInput | Rule::DegenerateTable => {
                 Severity::Info
             }
-            // Determinism hazards: everything that can silently corrupt
-            // byte-identity or kill a serve worker is Deny (Error); ambient
-            // env reads outside infra code are suspicious but reviewable.
-            Rule::HashOrderHazard
-            | Rule::AmbientTime
-            | Rule::RandomStateHazard
-            | Rule::ThreadIdHazard
-            | Rule::ServeUnwrap
-            | Rule::BadAllowDirective => Severity::Error,
-            Rule::AmbientEnv => Severity::Warning,
             // Plan-graph soundness: all Deny — a collision or under-keyed
             // node means the artifact cache serves wrong bytes.
             Rule::DuplicateNodeId
@@ -271,8 +224,8 @@ impl Rule {
     }
 }
 
-/// Every rule, in catalogue order — the source of truth for id lookups and
-/// exhaustiveness tests.
+/// Every rule, in catalogue order — the source of truth for exhaustiveness
+/// tests.
 pub const ALL_RULES: &[Rule] = &[
     Rule::UndrivenNet,
     Rule::MultipleDrivers,
@@ -300,13 +253,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::VtOutOfRange,
     Rule::BadSubthresholdSlope,
     Rule::BadOffCurrent,
-    Rule::HashOrderHazard,
-    Rule::AmbientTime,
-    Rule::RandomStateHazard,
-    Rule::ThreadIdHazard,
-    Rule::ServeUnwrap,
-    Rule::AmbientEnv,
-    Rule::BadAllowDirective,
     Rule::DuplicateNodeId,
     Rule::CacheKeyCollision,
     Rule::UnderKeyedNode,
@@ -334,13 +280,6 @@ pub enum Location {
     Library,
     /// A device-model parameter by name.
     Param(&'static str),
-    /// A source location in a workspace file (determinism auditor).
-    Source {
-        /// Workspace-relative path.
-        file: String,
-        /// 1-based line number.
-        line: usize,
-    },
     /// A registry node by id (plan-graph analysis).
     Node(String),
 }
@@ -354,7 +293,6 @@ impl fmt::Display for Location {
             Location::Cell(c) => write!(f, "cell {c}"),
             Location::Library => write!(f, "library"),
             Location::Param(p) => write!(f, "param {p}"),
-            Location::Source { file, line } => write!(f, "{file}:{line}"),
             Location::Node(id) => write!(f, "node {id}"),
         }
     }
@@ -503,24 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn rule_from_id_round_trips() {
-        for &r in ALL_RULES {
-            assert_eq!(Rule::from_id(r.id()), Some(r), "{}", r.id());
-        }
-        assert_eq!(Rule::from_id("ZZ999"), None);
-    }
-
-    #[test]
-    fn source_and_node_locations_render() {
-        let d = Diagnostic::new(
-            Rule::HashOrderHazard,
-            Location::Source {
-                file: "crates/x/src/lib.rs".into(),
-                line: 7,
-            },
-            "HashMap in render path",
-        );
-        assert!(d.to_string().contains("[D001] crates/x/src/lib.rs:7"));
+    fn node_locations_render() {
         let d = Diagnostic::new(Rule::UnderKeyedNode, Location::Node("fig03".into()), "m");
         assert!(d.to_string().contains("[PG003] node fig03"));
     }

@@ -24,14 +24,10 @@
 pub mod diag;
 pub mod library;
 pub mod netlist;
-pub mod source;
 
 pub use diag::{Diagnostic, LintReport, Location, Rule, Severity, ALL_RULES};
 pub use library::{lint_device, lint_library};
 pub use netlist::lint_netlist;
-pub use source::{
-    find_workspace_root, lex, lint_source, lint_workspace, SourceClass, Token, TokenKind,
-};
 
 #[cfg(test)]
 mod tests {

@@ -284,6 +284,10 @@ fn await_request<S>(reader: &mut BufReader<TcpStream>, shared: &Shared<S>) -> Op
             .get_ref()
             .set_read_timeout(Some(shared.cfg.read_timeout));
     }
-    // bdc-lint: allow(D002, latency telemetry; responses carry no Date header)
-    Some(Instant::now())
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "latency telemetry; responses carry no Date header"
+    )]
+    let arrived = Instant::now();
+    Some(arrived)
 }

@@ -25,7 +25,12 @@
 //! drive it with synthetic workloads (e.g. a barrier-gated executor that
 //! deterministically holds the queue full to exercise shedding).
 
-use std::collections::{HashMap, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the flight and response maps are keyed lookup only, never iterated"
+)]
+use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -115,9 +120,15 @@ struct EngineState<J> {
     queue: VecDeque<(u64, J)>,
     // Both maps are only ever indexed by key — iteration order never
     // reaches a response byte (eviction walks `cache_order`, FIFO).
-    // bdc-lint: allow(D001, flights is keyed lookup only, never iterated)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "flights is keyed lookup only, never iterated"
+    )]
     flights: HashMap<u64, Arc<Flight>>,
-    // bdc-lint: allow(D001, cache is keyed lookup only, eviction uses cache_order)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "cache is keyed lookup only, eviction uses cache_order"
+    )]
     cache: HashMap<u64, Arc<Response>>,
     cache_order: VecDeque<u64>,
     shutdown: bool,
@@ -142,9 +153,15 @@ impl<J: Send + Sync + 'static> Engine<J> {
         Arc::new(Engine {
             state: Mutex::new(EngineState {
                 queue: VecDeque::new(),
-                // bdc-lint: allow(D001, constructing the keyed-lookup maps declared above)
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "constructing the keyed-lookup maps declared above"
+                )]
                 flights: HashMap::new(),
-                // bdc-lint: allow(D001, constructing the keyed-lookup maps declared above)
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "constructing the keyed-lookup maps declared above"
+                )]
                 cache: HashMap::new(),
                 cache_order: VecDeque::new(),
                 shutdown: false,

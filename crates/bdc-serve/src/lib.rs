@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! `bdc-serve` — a batching, cache-backed experiment-serving daemon.
 //!

@@ -230,7 +230,10 @@ pub struct Registry {
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            // bdc-lint: allow(D002, uptime telemetry for /v1/metrics, not artifact bytes)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "uptime telemetry for /v1/metrics, not artifact bytes"
+            )]
             start: Instant::now(),
             endpoints: Default::default(),
             connections: AtomicU64::new(0),

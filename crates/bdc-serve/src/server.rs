@@ -83,7 +83,10 @@ pub fn install_signal_handlers() {
     // The one unsafe block in the workspace: registering a libc signal
     // handler has no safe std equivalent, and the handler body is
     // async-signal-safe (a single atomic store).
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "signal(2) has no safe std equivalent; the handler only stores an atomic"
+    )]
     {
         extern "C" fn on_signal(_sig: i32) {
             SIGNALLED.store(true, Ordering::SeqCst);

@@ -159,6 +159,7 @@ fn shutdown_with_an_idle_keep_alive_client_drains_within_a_second() {
     let mut idle = Connection::open(&addr).expect("connect");
     assert_eq!(idle.get("/healthz").expect("healthz").status, 200);
     // The client keeps its connection open and sends nothing more.
+    #[expect(clippy::disallowed_methods, reason = "the test measures drain time")]
     let t0 = Instant::now();
     handle.shutdown();
     let took = t0.elapsed();

@@ -150,10 +150,11 @@ mod tests {
 
     #[test]
     fn render_stats_bytes_are_pinned() {
-        // Regression pin for the determinism audit (D001): cell-count
-        // iteration reaches these bytes, so the exact order — Inv, Nand2,
-        // Nand3, Nor2, Nor3 — must never depend on a hash seed. This is
-        // the byte-exact output for a known structure.
+        // Regression pin for the determinism gate (D001, `HashMap` in
+        // clippy.toml): cell-count iteration reaches these bytes, so the
+        // exact order — Inv, Nand2, Nand3, Nor2, Nor3 — must never depend
+        // on a hash seed. This is the byte-exact output for a known
+        // structure.
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");

@@ -52,7 +52,7 @@ use bdc_lint::{Diagnostic, LintReport, Location, Rule};
 pub struct IrNode {
     /// Stable node id (`fig12`, `table-library`, …).
     pub id: &'static str,
-    /// The legacy binary this node replaced.
+    /// The retired per-figure binary this node replaced.
     pub legacy_bin: &'static str,
     /// Canonical drivers the node claims.
     pub drivers: Vec<&'static str>,

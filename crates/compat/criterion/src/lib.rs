@@ -8,6 +8,11 @@
 //! fixed measurement window, and prints the mean wall-clock time per
 //! iteration.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "vendored benchmark stub: reading the clock is its purpose"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Re-export matching `criterion::black_box` (deprecated upstream in favour
