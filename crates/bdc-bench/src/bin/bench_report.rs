@@ -65,29 +65,36 @@ struct SweepBench {
     cold21_s: f64,
 }
 
-/// Runs a 5-point organic V_T sweep (standard budget) in a throwaway
-/// cache directory. Point 0 is a genuine cold plan run; each later point
-/// recomputes only the organic invalidation cone. The 21-point
-/// projection is the acceptance comparison for `bdc sweep`: one sweep vs
-/// 21 independent cold runs of the same plan.
+/// Runs `f` with `BDC_CACHE_DIR` pointing at a fresh, empty directory,
+/// then restores the variable and deletes the directory.
 #[expect(
     clippy::disallowed_methods,
-    reason = "saves BDC_CACHE_DIR to restore it after the timed sweep"
+    reason = "saves BDC_CACHE_DIR to restore it after the timed run"
 )]
-fn sweep_section() -> Option<SweepBench> {
-    use bdc_core::sweep::{run_sweep, stage_key_collisions, SweepSpec};
-    let dir = std::env::temp_dir().join(format!("bdc-bench-sweep-{}", std::process::id()));
+fn in_fresh_cache<T>(tag: &str, f: impl FnOnce() -> T) -> T {
+    let dir = std::env::temp_dir().join(format!("bdc-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let prev = std::env::var_os("BDC_CACHE_DIR");
     std::env::set_var("BDC_CACHE_DIR", &dir);
-    let spec = SweepSpec::parse("organic.vt=-1.5:-1.1:5").expect("bench sweep spec");
-    let ids: Vec<&str> = bdc_core::registry::NODES.iter().map(|n| n.id).collect();
-    let outcome = run_sweep(&spec, &ids, false);
+    let out = f();
     match prev {
         Some(v) => std::env::set_var("BDC_CACHE_DIR", v),
         None => std::env::remove_var("BDC_CACHE_DIR"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// Runs a 5-point organic V_T sweep (standard budget) in a throwaway
+/// cache directory. Point 0 is a genuine cold plan run; each later point
+/// recomputes only the organic invalidation cone. The 21-point
+/// projection is the acceptance comparison for `bdc sweep`: one sweep vs
+/// 21 independent cold runs of the same plan.
+fn sweep_section() -> Option<SweepBench> {
+    use bdc_core::sweep::{run_sweep, stage_key_collisions, SweepSpec};
+    let spec = SweepSpec::parse("organic.vt=-1.5:-1.1:5").expect("bench sweep spec");
+    let ids: Vec<&str> = bdc_core::registry::NODES.iter().map(|n| n.id).collect();
+    let outcome = in_fresh_cache("sweep", || run_sweep(&spec, &ids, false));
     let report = match outcome {
         Ok(r) => r,
         Err(e) => {
@@ -515,6 +522,35 @@ fn main() {
             }
         }
         Err(e) => eprintln!("registry section skipped: {e}"),
+    }
+
+    // --- Whole plan, cold: every node at the quick budget in a fresh
+    // cache directory, at one worker and at every core, so the plan's pool
+    // speedup sits next to the per-stage rows. Both runs characterize,
+    // simulate and store everything. The in-process synthesis memos
+    // (stage netlists, mapped netlists, STA) outlive a run, so an untimed
+    // cold plan fills them first: otherwise the first timed run would pay
+    // for them and the second would not.
+    let _ = in_fresh_cache("plan", || bdc_core::registry::run_plan(&ids, true));
+    let mut plan_serial_s = None;
+    for &(w, label) in &worker_points {
+        bdc_exec::set_workers(Some(w));
+        let (outcome, s) =
+            in_fresh_cache("plan", || time(|| bdc_core::registry::run_plan(&ids, true)));
+        if let Err(e) = outcome {
+            eprintln!("cold plan row skipped: {e}");
+            continue;
+        }
+        let speedup = plan_serial_s.map_or(String::new(), |s1: f64| format!(", {:.2}x", s1 / s));
+        plan_serial_s.get_or_insert(s);
+        rows.push(Row {
+            stage: "plan_cold",
+            detail: format!("{} nodes --quick, {label} x{w}{speedup}", ids.len()),
+            workers: w,
+            lanes: ambient_lanes,
+            cache: "cold",
+            seconds: s,
+        });
     }
 
     // --- Incremental sweep: cold first point vs per-point recompute of

@@ -124,23 +124,23 @@ fn mapped_for(block: &Netlist, block_fp: u64, lib: &CellLibrary) -> (Arc<Netlist
 /// mapped form — a depth sweep reuses every stage netlist, a width grid
 /// reuses the width-independent stages — time it once per library instead
 /// of once per spec. Keyed by both structural fingerprints plus the
-/// config's `Debug` form.
+/// config's `Debug` form. Only the two figures synthesis reads are kept,
+/// `(max_arrival, area_um2)`: the per-net and per-gate vectors of a full
+/// report would stay resident for the life of the process.
 fn analyze_memoed(
     mapped: &Netlist,
     mapped_fp: u64,
     lib: &CellLibrary,
     sta: &bdc_synth::sta::StaConfig,
-) -> Arc<bdc_synth::sta::StaReport> {
-    static MEMO: Memo<(u64, u64, u64), Arc<bdc_synth::sta::StaReport>> = Mutex::new(None);
+) -> (f64, f64) {
+    static MEMO: Memo<(u64, u64, u64), (f64, f64)> = Mutex::new(None);
     let key = (mapped_fp, lib.fingerprint(), fnv1a(&[&format!("{sta:?}")]));
     let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
     let map = guard.get_or_insert_with(BTreeMap::new);
-    if let Some(hit) = map.get(&key) {
-        return hit.clone();
-    }
-    let report = Arc::new(analyze(mapped, lib, sta));
-    map.insert(key, report.clone());
-    report
+    *map.entry(key).or_insert_with(|| {
+        let report = analyze(mapped, lib, sta);
+        (report.max_arrival, report.area_um2)
+    })
 }
 
 /// In-process memo of [`pipeline_cut`], the retiming companion to
@@ -243,8 +243,7 @@ pub fn synthesize_core(kit: &TechKit, spec: &CoreSpec) -> SynthesizedCore {
         lint_gate_once(kit, mapped_fp, &mapped);
         let k = spec.substages(kind);
         let (logic, stage_area) = if k == 1 {
-            let r = analyze_memoed(&mapped, mapped_fp, &kit.lib, &kit.sta);
-            (r.max_arrival, r.area_um2)
+            analyze_memoed(&mapped, mapped_fp, &kit.lib, &kit.sta)
         } else {
             let opts = PipelineOptions {
                 stages: k,

@@ -194,7 +194,8 @@ pub struct SweepReport {
 /// own overlay in their keys, and everything else is warm), so they
 /// neither duplicate nor steal each other's work, and each runs inside
 /// its own attribution scope so the manifest's per-point reuse stats stay
-/// exact under concurrency.
+/// exact under concurrency. Helper threads that join a point's nested
+/// fan-outs adopt that point's scope, so they change no tally.
 ///
 /// # Errors
 /// An unknown experiment id or a node cache-key collision (from the plan
@@ -217,7 +218,10 @@ pub fn run_sweep(spec: &SweepSpec, ids: &[&str], quick: bool) -> Result<SweepRep
 ///
 /// The first *pending* point runs alone (warming the overlay-independent
 /// stages with full node parallelism, exactly like a cold sweep) and the
-/// rest fan out across the worker pool.
+/// rest fan out across the worker pool. A point's own fan-outs (its plan
+/// nodes, each organic library's characterization packs) recruit any core
+/// the other points leave idle, so a grid whose point count does not
+/// divide the worker count still keeps every core busy.
 ///
 /// # Errors
 /// See [`run_sweep`].

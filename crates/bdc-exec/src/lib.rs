@@ -7,13 +7,16 @@
 //! cycle-accurate core simulations. This crate supplies the two primitives
 //! every hot path shares:
 //!
-//! * [`par_map`] / [`par_mapi`] — a scoped work-stealing thread pool whose
-//!   output is **bit-identical to serial execution**: results are collected
-//!   in index order, every task is a pure function of its index and input,
-//!   and randomized tasks derive their seed from [`task_seed`] rather than
-//!   from a shared sequential stream. Worker count comes from
-//!   [`set_workers`], the `BDC_WORKERS` environment variable, or the
-//!   machine; `workers() == 1` runs inline on the calling thread — the
+//! * [`par_map`] / [`par_mapi`] — a scoped thread pool whose output is
+//!   **bit-identical to serial execution**: results are collected in index
+//!   order, every task is a pure function of its index and input, and
+//!   randomized tasks derive their seed from [`task_seed`] rather than
+//!   from a shared sequential stream. Each call hands out its items from
+//!   one claim counter and recruits helper threads while fewer than
+//!   [`workers`] threads run pool work process-wide, so a fan-out nested
+//!   inside another uses the cores the outer one leaves idle. Worker count
+//!   comes from [`set_workers`], the `BDC_WORKERS` environment variable, or
+//!   the machine; `workers() == 1` runs inline on the calling thread — the
 //!   serial path *is* the parallel path with one worker.
 //! * [`ArtifactCache`] — a content-addressed on-disk memo for flow
 //!   artifacts (characterized libraries, synthesized-core results). Keys

@@ -18,6 +18,18 @@ expected=(
   "35:this lint expectation is unfulfilled"
 )
 
+fail=0
+
+# The fixture mirrors the root's `[workspace.lints.clippy]` table in its
+# own Cargo.toml, so the seeded `allow` on line 32 would still fire if the
+# root dropped the lint. Require the root to keep it.
+if ! awk '/^\[/ { in_table = ($0 == "[workspace.lints.clippy]") }
+  in_table && /^allow_attributes_without_reason *= *"(warn|deny|forbid)"/ { found = 1 }
+  END { exit !found }' "$here/../../Cargo.toml"; then
+  echo "::error::root Cargo.toml no longer sets allow_attributes_without_reason under [workspace.lints.clippy]"
+  fail=1
+fi
+
 if out=$(cargo clippy --manifest-path "$here/Cargo.toml" --message-format=short \
   -- -D warnings 2>&1); then
   echo "$out"
@@ -26,7 +38,6 @@ if out=$(cargo clippy --manifest-path "$here/Cargo.toml" --message-format=short 
 fi
 echo "$out"
 
-fail=0
 for want in "${expected[@]}"; do
   line=${want%%:*}
   text=${want#*:}
